@@ -24,14 +24,14 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <optional>
+#include <stdexcept>
 #include <thread>
 
 #include "core/heartbeat.hpp"
-#include "fault/failure_detector.hpp"
 #include "fault/fleet_detector.hpp"
 #include "hub/hub.hpp"
 #include "hub/shm_pump.hpp"
-#include "hub/view.hpp"
 #include "transport/registry.hpp"
 #include "transport/shm_ingest.hpp"
 
@@ -55,6 +55,21 @@ int child_main() {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   return sink > 0 ? 0 : 1;
+}
+
+// The worker's summary in a fresh hub snapshot; nullopt until the pump has
+// seen its first beat (and registered it).
+std::optional<hb::hub::AppSummary> worker_summary(hb::hub::HeartbeatHub& hub) {
+  hb::hub::AppId id = 0;
+  try {
+    id = hub.id_of("worker");
+  } catch (const std::out_of_range&) {
+    return std::nullopt;
+  }
+  const auto snap = hub.snapshot();
+  const hb::hub::AppSummary* summary = snap->find(id);
+  if (summary == nullptr) return std::nullopt;
+  return *summary;
 }
 
 }  // namespace
@@ -81,7 +96,6 @@ int main() {
     return 1;
   }
   if (pid == 0) ::_exit(child_main());
-  hb::hub::HubView view(hub);
   hb::fault::FleetDetector fleet_detector(
       {.absolute_staleness_ns = 1000 * hb::util::kNsPerMs,
        .staleness_slack_ns = 100 * hb::util::kNsPerMs});
@@ -92,15 +106,15 @@ int main() {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
 
-  hb::fault::FailureDetector detector(
-      {.staleness_factor = 50.0, .window = 32, .min_beats = 8});
+  const hb::fault::FleetDetectorOptions reader_opts{.staleness_factor = 50.0,
+                                                    .min_beats = 8};
   std::printf(
       "sample,reader_beats,reader_rate,reader_health,hub_beats,hub_rate,"
       "hub_health\n");
   for (int s = 0; s < 40; ++s) {
     pump.poll();
     std::string hub_cell = "-,-,unseen";
-    if (const auto summary = view.app("worker")) {
+    if (const auto summary = worker_summary(hub)) {
       char buf[64];
       std::snprintf(buf, sizeof(buf), "%llu,%.1f,%s",
                     static_cast<unsigned long long>(summary->total_beats),
@@ -113,7 +127,8 @@ int main() {
       std::printf("%d,%llu,%.1f,%s,%s\n", s,
                   static_cast<unsigned long long>(reader.count()),
                   reader.current_rate(),
-                  hb::fault::to_string(detector.assess(reader)),
+                  hb::fault::to_string(hb::fault::classify(
+                      hb::fault::evidence(reader), reader_opts)),
                   hub_cell.c_str());
     } catch (const std::exception& e) {
       std::printf("%d,-,-,unpublished (%s),%s\n", s, e.what(),
@@ -128,11 +143,12 @@ int main() {
   std::this_thread::sleep_for(std::chrono::milliseconds(1100));
   pump.poll();
   auto reader = registry.reader("worker");
-  const auto summary = view.app("worker");
+  const auto summary = worker_summary(hub);
   std::printf("final,%llu,%.1f,%s,%llu,%.1f,%s\n",
               static_cast<unsigned long long>(reader.count()),
               reader.current_rate(),
-              hb::fault::to_string(detector.assess(reader)),
+              hb::fault::to_string(hb::fault::classify(
+                  hb::fault::evidence(reader), reader_opts)),
               static_cast<unsigned long long>(summary ? summary->total_beats
                                                       : 0),
               summary ? summary->rate_bps : 0.0,

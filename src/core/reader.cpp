@@ -9,6 +9,7 @@ HeartbeatReader::HeartbeatReader(std::shared_ptr<const BeatStore> store,
     : store_(std::move(store)), clock_(std::move(clock)) {
   assert(store_);
   if (!clock_) clock_ = util::MonotonicClock::instance();
+  attached_at_ns_ = clock_->now();
 }
 
 double HeartbeatReader::current_rate(std::uint32_t window) const {
@@ -24,7 +25,7 @@ double HeartbeatReader::instant_rate() const {
 
 util::TimeNs HeartbeatReader::staleness_ns() const {
   const auto last = store_->history(1);
-  if (last.empty()) return clock_->now();
+  if (last.empty()) return clock_->now() - attached_at_ns_;
   return clock_->now() - last.back().timestamp_ns;
 }
 

@@ -48,9 +48,11 @@ class HeartbeatReader {
 
   std::uint32_t default_window() const { return store_->default_window(); }
 
-  /// Nanoseconds since the last beat (monotone increasing between beats).
-  /// The liveness signal: a hung or dead application stops beating
-  /// (paper, Sections 2.3, 2.4, 2.6).
+  /// Nanoseconds since the last beat (monotone increasing between beats);
+  /// for a producer that never beat, since this reader was constructed —
+  /// silent since the observer appeared, as the hub measures a never-beating
+  /// app from its registration. The liveness signal: a hung or dead
+  /// application stops beating (paper, Sections 2.3, 2.4, 2.6).
   util::TimeNs staleness_ns() const;
 
   /// Standard deviation of recent beat intervals; erratic beats can signal
@@ -71,6 +73,7 @@ class HeartbeatReader {
  private:
   std::shared_ptr<const BeatStore> store_;
   std::shared_ptr<const util::Clock> clock_;
+  util::TimeNs attached_at_ns_ = 0;  ///< clock_->now() at construction
 };
 
 }  // namespace hb::core

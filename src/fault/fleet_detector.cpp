@@ -1,9 +1,7 @@
 #include "fault/fleet_detector.hpp"
 
 #include <algorithm>
-#include <cmath>
 
-#include "hub/hub.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -26,57 +24,6 @@ struct SweepMetrics {
 };
 
 }  // namespace
-
-Health FleetDetector::classify(const hub::AppSummary& s) const {
-  // An evicted app was already judged dead by the hub's staleness bound.
-  if (s.evicted) return Health::kDead;
-
-  // Discount transport lag (pump poll interval + producer batch hold)
-  // before judging silence; see FleetDetectorOptions::staleness_slack_ns.
-  const util::TimeNs staleness = s.staleness_ns > opts_.staleness_slack_ns
-                                     ? s.staleness_ns - opts_.staleness_slack_ns
-                                     : 0;
-
-  // Absolute bound first: the only check that can fire for apps that never
-  // beat or whose windowed beats all share one tick (mean interval 0).
-  if (opts_.absolute_staleness_ns > 0 &&
-      staleness > opts_.absolute_staleness_ns) {
-    return Health::kDead;
-  }
-
-  if (s.total_beats < opts_.min_beats) return Health::kWarmingUp;
-
-  // Staleness vs cadence. Fall back to the last non-empty window's mean
-  // when time-based aging has drained the current one — a producer that
-  // went silent long enough for its whole window to expire must not lose
-  // its death verdict along with its intervals. (Flip side, by design: a
-  // producer that slows to a cadence far beyond its historical one reads
-  // dead until its next beat revives it — silence past staleness_factor
-  // times the last known cadence IS the §2.6 failure signal.)
-  const double mean_ns = s.interval_mean_ns > 0.0 ? s.interval_mean_ns
-                                                  : s.last_interval_mean_ns;
-  if (mean_ns > 0.0 &&
-      static_cast<double>(staleness) > opts_.staleness_factor * mean_ns) {
-    return Health::kDead;
-  }
-
-  // Warmed up by lifetime beats, but the window holds too little evidence
-  // for a rate or jitter verdict (e.g. everything aged past window_ns and
-  // the app only just resumed): not provably dead, not provably anything.
-  if (s.window_beats < 2) return Health::kWarmingUp;
-
-  // A zero-span window reads as an infinite rate — unmeasurably fast is
-  // not "slow", so the isfinite guard only ever helps the app here.
-  if (s.target.min_bps > 0.0 && std::isfinite(s.rate_bps) &&
-      s.rate_bps < s.target.min_bps) {
-    return Health::kSlow;
-  }
-
-  if (mean_ns > 0.0 && s.interval_stddev_ns > opts_.jitter_factor * mean_ns) {
-    return Health::kErratic;
-  }
-  return Health::kHealthy;
-}
 
 int print_fleet_report(std::FILE* out, const FleetReport& report) {
   std::vector<const AppHealth*> rows;
@@ -115,10 +62,6 @@ int print_fleet_report(std::FILE* out, const FleetReport& report) {
     std::fprintf(out, "\n");
   }
   return fleet.dead == 0 ? 0 : 3;  // scripts can alert on the exit code
-}
-
-FleetReport FleetDetector::sweep(const hub::HubView& view) const {
-  return sweep(view.snapshot());
 }
 
 FleetReport FleetDetector::sweep(

@@ -2,17 +2,12 @@
 //
 // Paper, Section 2.6: "A lack of heartbeats from a particular node would
 // indicate that it has failed, and slow or erratic heartbeats could indicate
-// that a machine is about to fail." fault::FailureDetector answers that for
-// ONE producer by polling its HeartbeatReader; at fleet scale (thousands of
-// VMs feeding one hub) per-producer polling is the wrong shape. FleetDetector
-// instead sweeps every registered app in a single HubView pass — one flush
-// per shard, no per-app reader queries — and derives each verdict from the
-// app's hub summary alone: staleness stamped on the hub clock, windowed rate
-// against the registered target, and exact interval mean/stddev for jitter.
-//
-// The verdict vocabulary is shared with FailureDetector (fault::Health), so
-// consumers that graduate from one-reader monitoring to fleet sweeps keep
-// their switch statements.
+// that a machine is about to fail." At fleet scale (thousands of VMs
+// feeding one hub) per-producer polling is the wrong shape: FleetDetector
+// sweeps every registered app of one FleetSnapshot — no per-app reader
+// queries — and asks fault::classify for each verdict from the app's hub
+// summary alone: staleness stamped on the hub clock, windowed rate against
+// the registered target, and exact interval mean/stddev for jitter.
 #pragma once
 
 #include <cstdint>
@@ -20,58 +15,12 @@
 #include <string>
 #include <vector>
 
-#include "fault/failure_detector.hpp"
+#include "fault/classify.hpp"
 #include "hub/snapshot.hpp"
 #include "hub/summary.hpp"
-#include "hub/view.hpp"
 #include "util/time.hpp"
 
 namespace hb::fault {
-
-struct FleetDetectorOptions {
-  /// Dead when staleness exceeds this multiple of the windowed mean
-  /// inter-beat interval.
-  double staleness_factor = 8.0;
-  /// Erratic when the interval coefficient of variation (stddev / mean)
-  /// exceeds this (same rule as FailureDetectorOptions::jitter_factor).
-  double jitter_factor = 0.8;
-  /// Lifetime beats required before any verdict other than warming-up/dead.
-  std::uint64_t min_beats = 4;
-  /// Absolute staleness bound (ns) that marks death in any state — the only
-  /// bound that can fire for apps that never beat, or whose beats all share
-  /// one tick (zero mean interval). 0 disables.
-  util::TimeNs absolute_staleness_ns = 0;
-  /// Transport allowance (ns) subtracted from observed staleness before any
-  /// staleness verdict. For hubs fed across a process boundary (the shm
-  /// ingest pump) a beat is only as fresh as the last drain: observed
-  /// staleness includes up to one pump poll interval plus the producer's
-  /// batch hold, on top of the cross-process clock-sampling skew of the
-  /// shared CLOCK_MONOTONIC epoch. Set to roughly poll_interval +
-  /// ShmHubSinkOptions::max_hold_ns so transport lag is never read as
-  /// death. 0 (the default) is correct for in-process ingestion.
-  util::TimeNs staleness_slack_ns = 0;
-  /// Cap on FleetHealth::worst (the most-stale non-healthy apps).
-  std::size_t max_worst = 5;
-};
-
-/// The same thresholds expressed for the per-reader FailureDetector, so
-/// consumers that watch some apps through readers and some through the hub
-/// (e.g. GlobalScheduler) apply one rule set. Caveat: thresholds, not
-/// observations — the reader detector estimates mean/jitter over its own
-/// `window` beats (default 16) while hub summaries cover the hub's
-/// configured window, so a cadence shift can cross a threshold in one
-/// source before the other. staleness_slack_ns has no reader-side
-/// counterpart (readers observe the store directly, with no transport
-/// lag to discount) and is not carried over.
-inline FailureDetectorOptions to_failure_detector_options(
-    const FleetDetectorOptions& opts) {
-  FailureDetectorOptions out;
-  out.staleness_factor = opts.staleness_factor;
-  out.jitter_factor = opts.jitter_factor;
-  out.min_beats = opts.min_beats;
-  out.absolute_staleness_ns = opts.absolute_staleness_ns;
-  return out;
-}
 
 /// One app's verdict plus the summary facts that produced it.
 struct AppHealth {
@@ -140,12 +89,10 @@ class FleetDetector {
   FleetReport sweep(const std::shared_ptr<const hub::FleetSnapshot>& snap)
       const;
 
-  /// Convenience: grab the view's current snapshot (publishing pending
-  /// beats) and sweep it. Same cost as sweep(view.snapshot()).
-  FleetReport sweep(const hub::HubView& view) const;
-
   /// Verdict for a single app from its hub summary alone (no hub access).
-  Health classify(const hub::AppSummary& summary) const;
+  Health classify(const hub::AppSummary& summary) const {
+    return fault::classify(evidence(summary), opts_);
+  }
 
   const FleetDetectorOptions& options() const { return opts_; }
 

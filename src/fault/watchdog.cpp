@@ -10,13 +10,12 @@ Watchdog::Watchdog(core::HeartbeatReader reader, std::function<void()> restart,
     : reader_(std::move(reader)),
       restart_(std::move(restart)),
       clock_(std::move(clock)),
-      opts_(opts),
-      detector_(opts.detector) {
+      opts_(opts) {
   assert(restart_ && clock_);
 }
 
 Health Watchdog::poll() {
-  last_health_ = detector_.assess(reader_);
+  last_health_ = classify(evidence(reader_), opts_.detector);
   if (last_health_ != Health::kDead) return last_health_;
   if (gave_up()) return last_health_;
   const util::TimeNs now = clock_->now();

@@ -4,7 +4,7 @@
 // or crashes, and restart the application." Section 2.4: "Heartbeats allow
 // an OS to determine when applications fail and quickly restart them."
 //
-// The watchdog polls a HeartbeatReader through a FailureDetector and invokes
+// The watchdog polls a HeartbeatReader through fault::classify and invokes
 // a restart action when the application is judged dead, with a grace period
 // so a freshly restarted (still warming up) application is not killed again
 // immediately.
@@ -16,13 +16,13 @@
 #include <memory>
 
 #include "core/reader.hpp"
-#include "fault/failure_detector.hpp"
+#include "fault/classify.hpp"
 #include "util/clock.hpp"
 
 namespace hb::fault {
 
 struct WatchdogOptions {
-  FailureDetectorOptions detector{};
+  FleetDetectorOptions detector{};
   /// After a restart, ignore verdicts for this long (the app must re-warm).
   util::TimeNs restart_grace_ns = util::kNsPerSec;
   /// Give up after this many restarts (0 = never give up).
@@ -51,7 +51,6 @@ class Watchdog {
   std::function<void()> restart_;
   std::shared_ptr<const util::Clock> clock_;
   WatchdogOptions opts_;
-  FailureDetector detector_;
   bool ever_restarted_ = false;
   util::TimeNs last_restart_at_ = 0;
   int restarts_ = 0;

@@ -8,6 +8,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/stats.hpp"
 #include "util/time.hpp"
 
 namespace hb::hub {
@@ -465,9 +466,8 @@ void HubShard::refresh_locked(AppState& app) {
     s.interval_mean_ns = app.hist.mean();
     // Exact population stddev over the windowed intervals — the jitter
     // signal ("slow or erratic heartbeats", paper Section 2.6).
-    const double n = static_cast<double>(n_intervals);
-    const double mean = sum / n;
-    s.interval_stddev_ns = std::sqrt(std::max(0.0, sumsq / n - mean * mean));
+    s.interval_stddev_ns = util::population_stddev(
+        static_cast<double>(n_intervals), sum, sumsq);
     s.interval_p50_ns = clamped_percentile(app.hist, 50.0, lo, hi);
     s.interval_p95_ns = clamped_percentile(app.hist, 95.0, lo, hi);
     s.interval_p99_ns = clamped_percentile(app.hist, 99.0, lo, hi);

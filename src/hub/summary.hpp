@@ -43,8 +43,8 @@ struct AppSummary {
   double rate_bps = 0.0;           ///< windowed rate, core (n-1)/span rule
   util::TimeNs last_beat_ns = 0;   ///< timestamp of the newest beat (0: none)
   /// Hub-clock nanoseconds since the newest beat, stamped at the owning
-  /// shard's last flush (every view query forces one, so it is current at
-  /// query time). An app that never beat measures from its registration
+  /// shard's last publish (every hub snapshot() forces one, so it is
+  /// current at query time). An app that never beat measures from its registration
   /// time — "silent since it appeared". The fleet-wide liveness signal
   /// (paper, Section 2.6).
   util::TimeNs staleness_ns = 0;

@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "fault/failure_detector.hpp"
+#include "fault/classify.hpp"
 #include "hub/summary.hpp"
 #include "util/time.hpp"
 

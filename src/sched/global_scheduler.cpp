@@ -5,8 +5,8 @@
 #include <stdexcept>
 #include <unordered_map>
 
-#include "fault/failure_detector.hpp"
 #include "hub/hub.hpp"
+
 
 namespace hb::sched {
 
@@ -15,9 +15,10 @@ GlobalScheduler::GlobalScheduler(GlobalSchedulerOptions opts) : opts_(opts) {
   if (opts_.min_cores_per_app < 0) opts_.min_cores_per_app = 0;
 }
 
-GlobalScheduler::GlobalScheduler(GlobalSchedulerOptions opts, hub::HubView view)
+GlobalScheduler::GlobalScheduler(GlobalSchedulerOptions opts,
+                                 std::shared_ptr<hub::HeartbeatHub> hub)
     : GlobalScheduler(opts) {
-  view_ = std::move(view);
+  hub_ = std::move(hub);
 }
 
 int GlobalScheduler::add_app_impl(App app) {
@@ -43,10 +44,10 @@ int GlobalScheduler::add_app(std::string name, core::HeartbeatReader reader,
 }
 
 int GlobalScheduler::add_app(std::string name, Actuator actuator) {
-  if (!view_) {
+  if (!hub_) {
     throw std::logic_error(
         "GlobalScheduler: hub-backed add_app requires construction from a "
-        "HubView");
+        "HeartbeatHub");
   }
   App app;
   app.name = std::move(name);
@@ -80,17 +81,13 @@ std::vector<GlobalScheduler::Snapshot> GlobalScheduler::observe() const {
   // classify() below turns it into snap.dead.
   std::unordered_map<std::string, const hub::AppSummary*> by_name;
   std::shared_ptr<const hub::FleetSnapshot> fleet;
-  if (view_) {
-    fleet = view_->snapshot();
+  if (hub_) {
+    fleet = hub_->snapshot();
     by_name.reserve(fleet->app_count());
     fleet->for_each_app(
         [&by_name](const hub::AppSummary& s) { by_name.emplace(s.name, &s); },
         /*include_evicted=*/true);
   }
-
-  const fault::FleetDetector fleet_detector(opts_.fault_options);
-  const fault::FailureDetector reader_detector(
-      fault::to_failure_detector_options(opts_.fault_options));
 
   for (std::size_t i = 0; i < apps_.size(); ++i) {
     const App& app = apps_[i];
@@ -100,15 +97,18 @@ std::vector<GlobalScheduler::Snapshot> GlobalScheduler::observe() const {
       snap.beats = app.reader->count();
       snap.target = app.reader->target();
       if (opts_.detect_failures) {
-        snap.dead = reader_detector.assess(*app.reader) == fault::Health::kDead;
+        snap.dead = fault::classify(fault::evidence(*app.reader),
+                                    opts_.fault_options) ==
+                    fault::Health::kDead;
       }
     } else if (auto it = by_name.find(app.name); it != by_name.end()) {
       snap.rate = it->second->rate_bps;
       snap.beats = it->second->total_beats;
       snap.target = it->second->target;
       if (opts_.detect_failures) {
-        snap.dead =
-            fleet_detector.classify(*it->second) == fault::Health::kDead;
+        snap.dead = fault::classify(fault::evidence(*it->second),
+                                    opts_.fault_options) ==
+                    fault::Health::kDead;
       }
     }
     // Unknown hub names stay zeroed: the producer has not registered yet,

@@ -18,7 +18,7 @@
 //
 // Observation sources: each app is watched either through its own
 // HeartbeatReader (the paper's one-observer-per-channel shape) or through a
-// hub::HubView. Hub-backed scheduling grabs ONE epoch-coherent
+// hub::HeartbeatHub. Hub-backed scheduling grabs ONE epoch-coherent
 // FleetSnapshot per poll — every app's windowed rate, beat count, and
 // target behind a single shared pointer — instead of polling channels one
 // by one; polls between hub flushes reuse the cached snapshot outright,
@@ -32,8 +32,11 @@
 #include <vector>
 
 #include "core/reader.hpp"
-#include "fault/fleet_detector.hpp"
-#include "hub/view.hpp"
+#include "fault/classify.hpp"
+
+namespace hb::hub {
+class HeartbeatHub;
+}
 
 namespace hb::sched {
 
@@ -56,9 +59,9 @@ struct GlobalSchedulerOptions {
   /// (fault_options) and skips dead apps when reallocating: a dead app is
   /// never a receiver, and its cores are reclaimed before any live app is
   /// taxed — "a lack of heartbeats ... would indicate that it has failed"
-  /// (paper, Section 2.6). Hub-backed apps classify straight from the
-  /// cluster snapshot; reader-backed apps through a FailureDetector with
-  /// the equivalent thresholds.
+  /// (paper, Section 2.6). Hub-backed apps classify from the cluster
+  /// snapshot, reader-backed apps from their reader; same rules
+  /// (fault::classify) either way.
   bool detect_failures = false;
   fault::FleetDetectorOptions fault_options{};
 };
@@ -69,9 +72,10 @@ class GlobalScheduler {
 
   explicit GlobalScheduler(GlobalSchedulerOptions opts = {});
 
-  /// Hub-backed scheduler: apps added by name are observed through `view`'s
-  /// cluster snapshot (one query per poll for all of them).
-  GlobalScheduler(GlobalSchedulerOptions opts, hub::HubView view);
+  /// Hub-backed scheduler: apps added by name are observed through one
+  /// hub snapshot per poll for all of them. Keeps the hub alive.
+  GlobalScheduler(GlobalSchedulerOptions opts,
+                  std::shared_ptr<hub::HeartbeatHub> hub);
 
   /// Register an application observed through its own reader. Initial
   /// allocation is min_cores_per_app (actuated immediately). Returns the
@@ -79,7 +83,7 @@ class GlobalScheduler {
   int add_app(std::string name, core::HeartbeatReader reader,
               Actuator actuator);
 
-  /// Register an application observed through the hub view (hub-backed
+  /// Register an application observed through the hub (hub-backed
   /// constructor only; throws std::logic_error otherwise). The name must be
   /// the one registered with the hub.
   int add_app(std::string name, Actuator actuator);
@@ -93,7 +97,7 @@ class GlobalScheduler {
   std::size_t app_count() const { return apps_.size(); }
   int free_cores() const;
   std::uint64_t moves() const { return moves_; }
-  bool hub_backed() const { return view_.has_value(); }
+  bool hub_backed() const { return hub_ != nullptr; }
 
  private:
   struct App {
@@ -114,7 +118,7 @@ class GlobalScheduler {
 
   int add_app_impl(App app);
 
-  /// Gather all snapshots: per-reader queries, or one hub cluster view.
+  /// Gather all snapshots: per-reader queries, or one hub snapshot.
   std::vector<Snapshot> observe() const;
 
   /// Normalized target error: negative = deficient (below min), positive =
@@ -122,7 +126,7 @@ class GlobalScheduler {
   static double normalized_error(const Snapshot& snap);
 
   GlobalSchedulerOptions opts_;
-  std::optional<hub::HubView> view_;
+  std::shared_ptr<hub::HeartbeatHub> hub_;
   std::vector<App> apps_;
   std::uint64_t moves_ = 0;
   int cooldown_left_ = 0;

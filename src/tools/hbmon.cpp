@@ -66,11 +66,9 @@
 #include <vector>
 
 #include "core/tags.hpp"
-#include "fault/failure_detector.hpp"
 #include "fault/fleet_detector.hpp"
 #include "hub/hub.hpp"
 #include "hub/shm_pump.hpp"
-#include "hub/view.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/postmortem.hpp"
@@ -269,7 +267,6 @@ int cmd_list(const hb::transport::Registry& registry) {
 int cmd_show(const hb::transport::Registry& registry, const std::string& app,
              std::uint32_t window) {
   const auto reader = registry.reader(app);
-  hb::fault::FailureDetector detector;
   std::printf("application:    %s\n", app.c_str());
   std::printf("beats:          %llu\n",
               static_cast<unsigned long long>(reader.count()));
@@ -282,13 +279,13 @@ int cmd_show(const hb::transport::Registry& registry, const std::string& app,
               static_cast<double>(reader.staleness_ns()) / 1e6);
   std::printf("jitter:         %.3f ms\n", reader.jitter_ns() / 1e6);
   std::printf("health:         %s\n",
-              hb::fault::to_string(detector.assess(reader)));
+              hb::fault::to_string(hb::fault::classify(
+                  hb::fault::evidence(reader), {})));
   return 0;
 }
 
 int cmd_watch(const hb::transport::Registry& registry, const std::string& app,
               int samples, int interval_ms, std::uint32_t window) {
-  hb::fault::FailureDetector detector;
   std::printf("sample,beats,rate_bps,staleness_ms,health\n");
   for (int s = 0; s < samples; ++s) {
     const auto reader = registry.reader(app);
@@ -296,7 +293,8 @@ int cmd_watch(const hb::transport::Registry& registry, const std::string& app,
                 static_cast<unsigned long long>(reader.count()),
                 reader.current_rate(window),
                 static_cast<double>(reader.staleness_ns()) / 1e6,
-                hb::fault::to_string(detector.assess(reader)));
+                hb::fault::to_string(hb::fault::classify(
+                    hb::fault::evidence(reader), {})));
     std::fflush(stdout);
     if (s + 1 < samples) {
       std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
@@ -362,7 +360,7 @@ int cmd_fleet(const hb::transport::Registry& registry, int dead_ms,
   hb::fault::FleetDetector detector(
       {.absolute_staleness_ns =
            static_cast<hb::util::TimeNs>(dead_ms) * 1000000});
-  hb::fault::FleetReport report = detector.sweep(hb::hub::HubView(hub));
+  hb::fault::FleetReport report = detector.sweep(hub.snapshot());
   const int code = hb::fault::print_fleet_report(stdout, report);
   print_snapshot_footer(hub, report.snapshot_epoch);
   maybe_print_metrics_footer(metrics);
@@ -416,6 +414,48 @@ LivePipeline make_live_pipeline(const hb::transport::Registry& registry,
   return p;
 }
 
+// The one live loop every ring-fed mode runs: drain the ring, call `tick`
+// at every tick_ms deadline, and park on the ring's doorbell in between —
+// never past the next tick or the end of the run, so a quiet fleet costs
+// ~0 CPU while a beat wakes the pump at once. run_ms <= 0 runs until
+// SIGINT/SIGTERM. A stalled process (SIGSTOP, laptop sleep) can fall many
+// ticks behind; the missed ticks are skipped rather than replayed in a
+// burst, because each tick reads current state. Ends with a final drain,
+// so whatever follows sees every beat.
+template <typename Tick>
+void run_live_loop(LivePipeline& p, int run_ms, int tick_ms, Tick&& tick) {
+  using Clock = std::chrono::steady_clock;
+  const auto every = std::chrono::milliseconds(tick_ms);
+  const auto start = Clock::now();
+  const auto deadline = run_ms > 0
+                            ? start + std::chrono::milliseconds(run_ms)
+                            : Clock::time_point::max();
+  auto next_tick = start + every;
+  while (!g_stop && Clock::now() < deadline) {
+    p.pump->poll();
+    if (Clock::now() >= next_tick) {
+      tick();
+      next_tick += every;
+      if (next_tick < Clock::now()) next_tick = Clock::now() + every;
+    }
+    const auto budget = std::chrono::duration_cast<std::chrono::nanoseconds>(
+        std::min(next_tick, deadline) - Clock::now());
+    p.pump->wait(budget.count());
+  }
+  p.pump->poll();
+}
+
+// The decide tick of the sweeping modes: sweep the current snapshot, record
+// the report into the history plane, then hand it to the policy engine.
+hb::fault::FleetReport sweep_record_observe(LivePipeline& p,
+                                            hb::obs::FlightRecorder& recorder,
+                                            hb::policy::PolicyEngine& engine) {
+  hb::fault::FleetReport report = p.detector.sweep(p.hub->snapshot());
+  recorder.record_report(report);
+  engine.observe(report);
+  return report;
+}
+
 // Sweep LIVE producers: external processes publish beats into the fleet
 // ingest ring (transport/ShmIngestQueue, well-known path in the registry
 // dir); we pump the ring into a hub for run_ms and classify the fleet from
@@ -426,26 +466,10 @@ int cmd_fleet_live(const hb::transport::Registry& registry, int run_ms,
   if (poll_ms <= 0) poll_ms = 50;
   LivePipeline p = make_live_pipeline(registry, poll_ms, dead_ms);
 
-  using Clock = std::chrono::steady_clock;
-  const auto deadline = Clock::now() + std::chrono::milliseconds(run_ms);
   // Pulse the hub's snapshot path during the run: each pulse publishes the
   // shards AND fires the self heartbeat, so by the final sweep
   // "__hub/self" has a cadence to be judged on instead of one lone beat.
-  auto next_pulse = Clock::now() + std::chrono::milliseconds(250);
-  while (Clock::now() < deadline) {
-    p.pump->poll();
-    if (Clock::now() >= next_pulse) {
-      p.hub->snapshot();
-      next_pulse += std::chrono::milliseconds(250);
-    }
-    // Park on the ring's doorbell until the next pulse or the deadline,
-    // whichever is sooner: a quiet fleet costs ~0 CPU, a beat wakes the
-    // pump immediately.
-    const auto budget = std::chrono::duration_cast<std::chrono::nanoseconds>(
-        std::min(next_pulse, deadline) - Clock::now());
-    p.pump->wait(budget.count());
-  }
-  p.pump->poll();  // final drain so the sweep sees everything
+  run_live_loop(p, run_ms, 250, [&] { p.hub->snapshot(); });
 
   const auto stats = p.pump->stats();
   std::fprintf(stderr, "live: %llu beats from %llu producers via %s\n",
@@ -462,8 +486,7 @@ int cmd_fleet_live(const hb::transport::Registry& registry, int run_ms,
     return 0;
   }
 
-  hb::fault::FleetReport report =
-      p.detector.sweep(hb::hub::HubView(*p.hub));
+  hb::fault::FleetReport report = p.detector.sweep(p.hub->snapshot());
   const int code = hb::fault::print_fleet_report(stdout, report);
   print_transport_footer(stats);
   print_snapshot_footer(*p.hub, report.snapshot_epoch);
@@ -517,37 +540,11 @@ int cmd_fleet_watch(const hb::transport::Registry& registry, int run_ms,
                p.queue->file().c_str(), sweep_ms,
                run_ms > 0 ? "bounded run" : "until SIGINT/SIGTERM");
 
-  using Clock = std::chrono::steady_clock;
-  const auto start = Clock::now();
-  const auto deadline = start + std::chrono::milliseconds(run_ms);
-  auto next_sweep = start + std::chrono::milliseconds(sweep_ms);
-  hb::fault::FleetReport report;
-  while (!g_stop && (run_ms <= 0 || Clock::now() < deadline)) {
-    p.pump->poll();
-    if (Clock::now() >= next_sweep) {
-      report = p.detector.sweep(hb::hub::HubView(*p.hub));
-      recorder->record_report(report);
-      engine.observe(report);
-      next_sweep += std::chrono::milliseconds(sweep_ms);
-      // A stalled process (SIGSTOP, laptop sleep) can fall many intervals
-      // behind; skip the missed ones rather than burst-sweeping to catch
-      // up — each sweep reads current state, so replays add nothing.
-      if (next_sweep < Clock::now()) {
-        next_sweep = Clock::now() + std::chrono::milliseconds(sweep_ms);
-      }
-    }
-    // Park on the doorbell, but never past the next sweep: the futex wake
-    // bounds ingest latency while the sweep deadline bounds the park.
-    const auto until_sweep =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(next_sweep -
-                                                             Clock::now());
-    p.pump->wait(until_sweep.count());
-  }
-
-  p.pump->poll();  // final drain: the exit table reflects everything
-  report = p.detector.sweep(hb::hub::HubView(*p.hub));
-  recorder->record_report(report);
-  engine.observe(report);
+  run_live_loop(p, run_ms, sweep_ms,
+                [&] { sweep_record_observe(p, *recorder, engine); });
+  // The exit table reflects everything the final drain ingested.
+  const hb::fault::FleetReport report =
+      sweep_record_observe(p, *recorder, engine);
   std::printf("\n");
   const int code = hb::fault::print_fleet_report(stdout, report);
   print_transport_footer(p.pump->stats());
@@ -585,22 +582,9 @@ int cmd_fleet_watch(const hb::transport::Registry& registry, int run_ms,
 void run_pipeline_briefly(const hb::transport::Registry& registry, int run_ms,
                           int poll_ms) {
   LivePipeline p = make_live_pipeline(registry, poll_ms, 5000);
+  run_live_loop(p, run_ms, 100, [&] { p.hub->snapshot(); });
   hb::policy::PolicyEngine engine;
-  using Clock = std::chrono::steady_clock;
-  const auto deadline = Clock::now() + std::chrono::milliseconds(run_ms);
-  auto next_pulse = Clock::now() + std::chrono::milliseconds(100);
-  while (Clock::now() < deadline) {
-    p.pump->poll();
-    if (Clock::now() >= next_pulse) {
-      p.hub->snapshot();
-      next_pulse += std::chrono::milliseconds(100);
-    }
-    const auto budget = std::chrono::duration_cast<std::chrono::nanoseconds>(
-        std::min(next_pulse, deadline) - Clock::now());
-    p.pump->wait(budget.count());
-  }
-  p.pump->poll();
-  engine.observe(p.detector.sweep(hb::hub::HubView(*p.hub)));
+  engine.observe(p.detector.sweep(p.hub->snapshot()));
 }
 
 int cmd_metrics(const hb::transport::Registry& registry, int run_ms,
@@ -674,27 +658,9 @@ int cmd_timeline(const hb::transport::Registry& registry, int run_ms,
   // Anchor rendered stamps to the start of the run (event times live on
   // the hub's monotonic clock — machine uptime — which nobody wants raw).
   const hb::util::TimeNs base_ns = p.hub->clock()->now();
-  using Clock = std::chrono::steady_clock;
-  const auto deadline = Clock::now() + std::chrono::milliseconds(run_ms);
-  auto next_sweep = Clock::now() + std::chrono::milliseconds(sweep_ms);
-  while (Clock::now() < deadline) {
-    p.pump->poll();
-    if (Clock::now() >= next_sweep) {
-      const hb::fault::FleetReport report =
-          p.detector.sweep(hb::hub::HubView(*p.hub));
-      recorder->record_report(report);
-      engine.observe(report);
-      next_sweep += std::chrono::milliseconds(sweep_ms);
-    }
-    const auto budget = std::chrono::duration_cast<std::chrono::nanoseconds>(
-        std::min(next_sweep, deadline) - Clock::now());
-    p.pump->wait(budget.count());
-  }
-  p.pump->poll();
-  const hb::fault::FleetReport last =
-      p.detector.sweep(hb::hub::HubView(*p.hub));
-  recorder->record_report(last);
-  engine.observe(last);
+  run_live_loop(p, run_ms, sweep_ms,
+                [&] { sweep_record_observe(p, *recorder, engine); });
+  sweep_record_observe(p, *recorder, engine);
 
   hb::util::TimeNs since_ns = 0;
   if (since_ms > 0) {

@@ -1,6 +1,8 @@
 // Streaming statistics (Welford) and small helpers used by experiments.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -35,6 +37,13 @@ class RunningStats {
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
 };
+
+/// Population standard deviation (n denominator) of `n` samples from their
+/// sum and sum of squares: the heartbeat jitter definition (fault/classify).
+inline double population_stddev(double n, double sum, double sumsq) {
+  const double mean = sum / n;
+  return std::sqrt(std::max(0.0, sumsq / n - mean * mean));
+}
 
 /// Percentile over a copy of the data (p in [0,100], nearest-rank).
 double percentile(std::vector<double> values, double p);

@@ -8,13 +8,16 @@
 #include <vector>
 
 #include "cloud/cloud_sim.hpp"
-#include "fault/failure_detector.hpp"
+#include "fault/classify.hpp"
 #include "hub/hub.hpp"
-#include "hub/view.hpp"
+#include "test_support.hpp"
 #include "util/clock.hpp"
 
 namespace hb::cloud {
 namespace {
+
+using test::summary_of;
+using test::tag_of;
 
 VmSpec light_vm(const std::string& name, double demand = 1.0,
                 double duration = 1e6) {
@@ -144,13 +147,14 @@ TEST_F(CloudFixture, DeadVmDetectedByStaleness) {
   // it has failed." A VM whose phases end stops beating; the failure
   // detector flags it from heartbeat staleness alone.
   const int v = sim.add_vm(light_vm("mortal", 2.0, /*duration=*/5.0));
-  fault::FailureDetector detector;
+  const fault::FleetDetectorOptions opts;
   for (int i = 0; i < 45; ++i) sim.step(0.1);  // t = 4.5: alive
   auto r1 = sim.reader(v);
-  EXPECT_EQ(detector.assess(r1), fault::Health::kHealthy);
+  EXPECT_EQ(fault::classify(fault::evidence(r1), opts),
+            fault::Health::kHealthy);
   for (int i = 0; i < 200; ++i) sim.step(0.1);  // long past the end
   auto r2 = sim.reader(v);
-  EXPECT_EQ(detector.assess(r2), fault::Health::kDead);
+  EXPECT_EQ(fault::classify(fault::evidence(r2), opts), fault::Health::kDead);
 }
 
 TEST_F(CloudFixture, KilledVmGoesSilentAndRestartResumes) {
@@ -170,14 +174,16 @@ TEST_F(CloudFixture, KilledVmGoesSilentAndRestartResumes) {
   EXPECT_EQ(sim.used_machines(), 1);
   EXPECT_FALSE(sim.vm_finished(v));  // frozen mid-phase, not done
 
-  fault::FailureDetector detector;
-  EXPECT_EQ(detector.assess(sim.reader(v)), fault::Health::kDead);
+  const fault::FleetDetectorOptions opts;
+  EXPECT_EQ(fault::classify(fault::evidence(sim.reader(v)), opts),
+            fault::Health::kDead);
 
   sim.restart_vm(v);
   EXPECT_FALSE(sim.vm_killed(v));
   for (int i = 0; i < 100; ++i) sim.step(0.1);
   EXPECT_GT(sim.reader(v).count(), beats_at_kill);
-  EXPECT_EQ(detector.assess(sim.reader(v)), fault::Health::kHealthy);
+  EXPECT_EQ(fault::classify(fault::evidence(sim.reader(v)), opts),
+            fault::Health::kHealthy);
 }
 
 TEST_F(CloudFixture, ConsolidatorLeavesDeadVmsAlone) {
@@ -221,9 +227,8 @@ TEST_F(CloudFixture, AttachedHubMirrorsVmBeats) {
 
   for (int i = 0; i < 100; ++i) sim.step(0.1);
 
-  hub::HubView view(*hub);
-  const auto early = view.app("early");
-  const auto late = view.app("late");
+  const auto early = summary_of(*hub, "early");
+  const auto late = summary_of(*hub, "late");
   ASSERT_TRUE(early.has_value());
   ASSERT_TRUE(late.has_value());
   // The hub saw exactly the beats the VM channels emitted, with identical
@@ -250,9 +255,9 @@ TEST_F(CloudFixture, HubWithDifferentClockStillGetsExactRates) {
   const int v = sim.add_vm(light_vm("vm", 2.0));
   for (int i = 0; i < 100; ++i) sim.step(0.1);
 
-  hub::HubView view(*hub);
-  EXPECT_EQ(view.app("vm")->total_beats, sim.reader(v).count());
-  EXPECT_DOUBLE_EQ(view.app("vm")->rate_bps, sim.reader(v).current_rate(8));
+  EXPECT_EQ(summary_of(*hub, "vm")->total_beats, sim.reader(v).count());
+  EXPECT_DOUBLE_EQ(summary_of(*hub, "vm")->rate_bps,
+                   sim.reader(v).current_rate(8));
 }
 
 // The multi-producer stress scenario: a whole fleet beating through one hub,
@@ -296,16 +301,15 @@ TEST(CloudHubStress, FleetOfVmsAggregatesExactly) {
     consolidator.poll(sim);
   }
 
-  hub::HubView view(*hub);
   // Exactness: every VM's hub summary equals its own channel.
   std::uint64_t channel_total = 0;
   for (const int v : vms) {
-    const auto s = view.app("vm-" + std::to_string(v));
+    const auto s = summary_of(*hub, "vm-" + std::to_string(v));
     ASSERT_TRUE(s.has_value());
     EXPECT_EQ(s->total_beats, sim.reader(v).count()) << "vm " << v;
     channel_total += sim.reader(v).count();
   }
-  const hub::ClusterSummary c = view.cluster();
+  const hub::ClusterSummary c = hub->snapshot()->cluster();
   EXPECT_EQ(c.apps, static_cast<std::uint64_t>(kVms));
   EXPECT_EQ(c.total_beats, channel_total);
   EXPECT_GT(c.total_beats, 1000u);
@@ -315,7 +319,7 @@ TEST(CloudHubStress, FleetOfVmsAggregatesExactly) {
   // Most of the fleet meets its goal once the consolidator settles.
   EXPECT_GT(c.meeting_target, static_cast<std::uint64_t>(kVms / 2));
   // Tag rollup sees every VM (tag 0 beats from all of them).
-  EXPECT_EQ(view.tag(0).apps, static_cast<std::uint32_t>(kVms));
+  EXPECT_EQ(tag_of(*hub->snapshot(), 0).apps, static_cast<std::uint32_t>(kVms));
 }
 
 }  // namespace

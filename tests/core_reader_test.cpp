@@ -70,7 +70,7 @@ TEST_F(ReaderFixture, StalenessGrowsBetweenBeats) {
   EXPECT_EQ(reader.staleness_ns(), 0);
 }
 
-TEST_F(ReaderFixture, StalenessWithNoBeatsIsClockNow) {
+TEST_F(ReaderFixture, StalenessWithNoBeatsCountsFromAttach) {
   clock->advance(777);
   EXPECT_EQ(reader.staleness_ns(), 777);
 }

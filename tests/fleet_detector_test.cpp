@@ -1,5 +1,5 @@
 // Fleet-wide failure detection over the hub (paper §2.6 at fleet scale):
-// verdicts from aggregated summaries alone, one HubView pass per sweep,
+// verdicts from aggregated summaries alone, one FleetSnapshot per sweep,
 // wired through CloudSim fleets and the hub-backed GlobalScheduler.
 #include <gtest/gtest.h>
 
@@ -11,18 +11,23 @@
 #include <vector>
 
 #include "cloud/cloud_sim.hpp"
+#include "core/channel.hpp"
+#include "core/memory_store.hpp"
+#include "core/reader.hpp"
 #include "fault/fleet_detector.hpp"
 #include "hub/hub.hpp"
-#include "hub/view.hpp"
 #include "policy/policy_engine.hpp"
 #include "sched/global_scheduler.hpp"
 #include "test_support.hpp"
 #include "util/clock.hpp"
+#include "util/rng.hpp"
 #include "util/time.hpp"
 
 namespace hb::fault {
 namespace {
 
+using test::shard_stats;
+using test::summary_of;
 using util::kNsPerMs;
 using util::kNsPerSec;
 
@@ -84,7 +89,7 @@ TEST(FleetClassify, StalenessSlackDiscountsTransportLag) {
 }
 
 TEST(FleetClassify, DeadPastAbsoluteStalenessEvenWithZeroMean) {
-  // The hub-side twin of the FailureDetector regression: all-one-tick beats
+  // The hub-side twin of the reader-side regression: all-one-tick beats
   // leave mean 0; only the absolute bound can declare death.
   FleetDetector det({.absolute_staleness_ns = 2 * kNsPerSec});
   hub::AppSummary s = base_summary();
@@ -177,7 +182,7 @@ TEST(FleetSweep, MixedHubFleetRollsUp) {
   }
 
   FleetDetector det({.absolute_staleness_ns = 20 * kNsPerSec});
-  const FleetReport report = det.sweep(hub::HubView(hub));
+  const FleetReport report = det.sweep(hub.snapshot());
 
   ASSERT_EQ(report.apps.size(), 5u);
   for (const AppHealth& app : report.apps) {
@@ -225,7 +230,7 @@ TEST(FleetSweep, WorstOffendersAreCappedAndExcludeWarmUps) {
   }
   test::beat_apps(hub, *clock, slow, /*rounds=*/10, 100 * kNsPerMs);
   FleetDetector det({.max_worst = 3});
-  const FleetReport report = det.sweep(hub::HubView(hub));
+  const FleetReport report = det.sweep(hub.snapshot());
   EXPECT_EQ(report.fleet.slow, 10u);
   EXPECT_EQ(report.fleet.warming_up, 10u);
   // Capped, and a freshly registered app is not an "offender": every entry
@@ -250,9 +255,9 @@ TEST(FleetSweep, AutoEvictedDeathsStayInTheReport) {
   test::beat_apps(hub, *clock, {live, doomed}, /*rounds=*/20, 100 * kNsPerMs);
   // 4s of silence for doomed.
   test::beat_apps(hub, *clock, {live}, /*rounds=*/40, 100 * kNsPerMs);
-  ASSERT_TRUE(hub::HubView(hub).app("doomed")->evicted);
+  ASSERT_TRUE(summary_of(hub, "doomed")->evicted);
 
-  const FleetReport report = FleetDetector().sweep(hub::HubView(hub));
+  const FleetReport report = FleetDetector().sweep(hub.snapshot());
   EXPECT_EQ(report.fleet.apps, 2u);
   EXPECT_EQ(report.fleet.dead, 1u);
   EXPECT_EQ(report.fleet.evicted, 1u);
@@ -278,19 +283,18 @@ TEST(FleetSweep, EvictionRevivalChurnStaysConsistent) {
   const FleetDetector det;
   policy::PolicyEngine engine(
       {.flap_window_ns = 1000 * kNsPerSec, .flap_threshold = 100});
-  hub::HubView view(hub);
 
   constexpr int kCycles = 3;
   for (int cycle = 0; cycle < kCycles; ++cycle) {
     // Active: both beat at 10 b/s for 2 s.
     test::beat_apps(hub, *clock, {churn, steady}, /*rounds=*/20,
                     100 * kNsPerMs);
-    FleetReport up = det.sweep(view);
+    FleetReport up = det.sweep(hub.snapshot());
     engine.observe(up);
     EXPECT_EQ(up.fleet.apps, 2u) << "cycle " << cycle;
     EXPECT_EQ(up.fleet.dead, 0u) << "cycle " << cycle;
     EXPECT_EQ(up.fleet.evicted, 0u) << "cycle " << cycle;
-    const auto revived = view.app("churn");
+    const auto revived = summary_of(hub, "churn");
     ASSERT_TRUE(revived.has_value());
     EXPECT_FALSE(revived->evicted);
     // Lifetime beats survive every eviction so far.
@@ -300,14 +304,14 @@ TEST(FleetSweep, EvictionRevivalChurnStaysConsistent) {
     // Silent: churn stops for 4 s — past the relative death bound AND the
     // eviction bound; steady keeps beating.
     test::beat_apps(hub, *clock, {steady}, /*rounds=*/40, 100 * kNsPerMs);
-    FleetReport down = det.sweep(view);
+    FleetReport down = det.sweep(hub.snapshot());
     engine.observe(down);
     EXPECT_EQ(down.fleet.apps, 2u) << "cycle " << cycle;
     EXPECT_EQ(down.fleet.dead, 1u) << "cycle " << cycle;
     EXPECT_EQ(down.fleet.evicted, 1u) << "cycle " << cycle;
     ASSERT_EQ(down.fleet.dead_apps.size(), 1u);
     EXPECT_EQ(down.fleet.dead_apps[0], "churn");
-    const auto evicted = view.app("churn");
+    const auto evicted = summary_of(hub, "churn");
     ASSERT_TRUE(evicted.has_value());
     EXPECT_TRUE(evicted->evicted);
     EXPECT_EQ(evicted->total_beats,
@@ -322,7 +326,7 @@ TEST(FleetSweep, EvictionRevivalChurnStaysConsistent) {
   // Come back one last time: the fleet ends clean.
   test::beat_apps(hub, *clock, {churn, steady}, /*rounds=*/20,
                   100 * kNsPerMs);
-  const FleetReport healed = det.sweep(view);
+  const FleetReport healed = det.sweep(hub.snapshot());
   engine.observe(healed);
   EXPECT_EQ(healed.fleet.dead, 0u);
   EXPECT_EQ(engine.stats().revivals, static_cast<std::uint64_t>(kCycles));
@@ -341,8 +345,8 @@ TEST(FleetSweep, AgedOutDeadProducerIsReportedDeadWithoutAbsoluteBound) {
   const hub::AppId id = hub.register_app("quiet");
   test::beat_apps(hub, *clock, {id}, /*rounds=*/20, 100 * kNsPerMs);
   clock->advance(10 * kNsPerSec);  // window fully drained
-  ASSERT_EQ(hub::HubView(hub).app("quiet")->window_beats, 0u);
-  const FleetReport report = FleetDetector().sweep(hub::HubView(hub));
+  ASSERT_EQ(summary_of(hub, "quiet")->window_beats, 0u);
+  const FleetReport report = FleetDetector().sweep(hub.snapshot());
   EXPECT_EQ(report.fleet.dead, 1u);
 }
 
@@ -353,7 +357,7 @@ TEST(FleetSweep, FreshFleetHasNoWorstOffenders) {
   hub::HeartbeatHub hub(opts);
   for (int i = 0; i < 5; ++i) hub.register_app("new-" + std::to_string(i));
   clock->advance(kNsPerSec);
-  const FleetReport report = FleetDetector().sweep(hub::HubView(hub));
+  const FleetReport report = FleetDetector().sweep(hub.snapshot());
   EXPECT_EQ(report.fleet.warming_up, 5u);
   EXPECT_TRUE(report.fleet.worst.empty());
 }
@@ -362,7 +366,7 @@ TEST(FleetSweep, FreshFleetHasNoWorstOffenders) {
 
 // The acceptance scenario: a 1000-VM fleet feeding one hub, with injected
 // kills (silent), overcommitted targets (slow), and bursty phase schedules
-// (erratic). One sweep — a single HubView pass, no per-VM reader queries —
+// (erratic). One sweep — a single FleetSnapshot, no per-VM reader queries —
 // must classify every injected fault correctly under the ManualClock.
 TEST(FleetSweepCloud, ThousandVmFleetWithInjectedFaults) {
   auto clock = std::make_shared<util::ManualClock>();
@@ -435,7 +439,7 @@ TEST(FleetSweepCloud, ThousandVmFleetWithInjectedFaults) {
   EXPECT_EQ(report.fleet.healthy + report.fleet.slow + report.fleet.erratic,
             static_cast<std::uint64_t>(kVms) - killed.size());
   // The sweep drained every shard in its one pass: nothing left buffered.
-  for (const auto& s : hub::HubView(*hub).shard_stats()) {
+  for (const auto& s : shard_stats(*hub)) {
     EXPECT_EQ(s.pending, 0u);
   }
 
@@ -476,7 +480,7 @@ TEST(FleetScheduler, DeadAppsDonateTheirCores) {
        .cooldown_polls = 0,
        .detect_failures = true,
        .fault_options = {.absolute_staleness_ns = 2 * kNsPerSec}},
-      hub::HubView(hub));
+      hub);
   int cores_a = 0, cores_b = 0;
   scheduler.add_app("a", [&](int c) { cores_a = c; });
   scheduler.add_app("b", [&](int c) { cores_b = c; });
@@ -534,7 +538,7 @@ TEST(FleetScheduler, DeadAppsAreNeverReceivers) {
        .cooldown_polls = 0,
        .detect_failures = true,
        .fault_options = {.absolute_staleness_ns = 2 * kNsPerSec}},
-      hub::HubView(hub));
+      hub);
   int cores_b = 0;
   scheduler.add_app("a", [](int) {});
   scheduler.add_app("b", [&](int c) { cores_b = c; });
@@ -576,7 +580,7 @@ TEST(FleetScheduler, NotYetRegisteredAppsAreWarmingUpNotDead) {
        .cooldown_polls = 0,
        .detect_failures = true,
        .fault_options = {.absolute_staleness_ns = 2 * kNsPerSec}},
-      hub::HubView(hub));
+      hub);
   int cores_a = 0, cores_late = 0;
   scheduler.add_app("a", [&](int c) { cores_a = c; });
   scheduler.add_app("late", [&](int c) { cores_late = c; });  // not in hub yet
@@ -626,7 +630,7 @@ TEST(FleetScheduler, HubEvictedAppsReadAsDead) {
        .cooldown_polls = 0,
        .detect_failures = true,
        .fault_options = {.absolute_staleness_ns = 2 * kNsPerSec}},
-      hub::HubView(hub));
+      hub);
   int cores_a = 0, cores_b = 0;
   scheduler.add_app("a", [&](int c) { cores_a = c; });
   scheduler.add_app("b", [&](int c) { cores_b = c; });
@@ -647,11 +651,100 @@ TEST(FleetScheduler, HubEvictedAppsReadAsDead) {
     clock->advance(100 * kNsPerMs);
     hub->beat(a);
   }
-  EXPECT_TRUE(hub::HubView(*hub).app("b")->evicted);
+  EXPECT_TRUE(summary_of(*hub, "b")->evicted);
   hub->set_target(a, {30.0, inf});  // a needy at ~10 b/s
   EXPECT_TRUE(scheduler.poll());
   EXPECT_EQ(cores_b, 1);
   EXPECT_EQ(cores_a, 2);
+}
+
+// ------------------------------------------------ one rule set, two sources
+
+// The same beats, seen through a producer's store (reader adapter) and
+// through a hub summary (summary adapter), must earn the same verdict under
+// every option set. The hub keeps exactly the reader's 16-beat history
+// (window_capacity 16, rate over the whole window) and registers the app
+// at the instant the reader is attached, so the two differ only in how
+// they got the evidence. Covers the two historical splits: jitter as
+// population vs sample stddev, and 0-1-beat apps under min_beats < 2
+// (plus a never-beating app's silence measured from attach).
+TEST(AdapterAgreement, ReaderAndSummaryAgreeOnRandomHistories) {
+  enum class Shape { kRegular, kUniform, kAlternating, kSameTick };
+  const auto inf = std::numeric_limits<double>::infinity();
+  const core::TargetRate targets[] = {
+      {0.0, inf}, {5.0, inf}, {20.0, 200.0}, {1e6, inf}};
+  util::Rng rng(20260418);
+  std::uint64_t cases = 0;
+  std::uint64_t by_health[5] = {};
+
+  for (int h = 0; h < 1200; ++h) {
+    auto clock = std::make_shared<util::ManualClock>();
+    clock->advance(static_cast<util::TimeNs>(rng.next_below(3600)) * kNsPerSec);
+    hub::HubOptions opts;
+    opts.shard_count = 1;
+    opts.batch_capacity = 8;
+    opts.window_capacity = kReaderHistoryBeats;
+    opts.rate_window = 0;
+    opts.clock = clock;
+    hub::HeartbeatHub hub(opts);
+    auto store = std::make_shared<core::MemoryStore>(64, false);
+    core::Channel producer(store, clock);
+    const core::TargetRate target = targets[rng.next_below(4)];
+    producer.set_target(target.min_bps, target.max_bps);
+    const hub::AppId id = hub.register_app("app", target);
+    const core::HeartbeatReader reader(store, clock);
+
+    const auto shape = static_cast<Shape>(rng.next_below(4));
+    const int beats = static_cast<int>(rng.next_below(41));
+    const util::TimeNs base =
+        static_cast<util::TimeNs>(rng.uniform(1.0, 200.0) * kNsPerMs);
+    const double ratio = rng.uniform(1.0, 20.0);
+    for (int i = 0; i < beats; ++i) {
+      util::TimeNs step = base;
+      switch (shape) {
+        case Shape::kRegular: break;
+        case Shape::kUniform:
+          step = static_cast<util::TimeNs>(rng.uniform(0.0, 2.0) * base);
+          break;
+        case Shape::kAlternating:
+          step = i % 2 == 0 ? base : static_cast<util::TimeNs>(ratio * base);
+          break;
+        case Shape::kSameTick: step = i == 0 ? base : 0; break;
+      }
+      clock->advance(step);
+      producer.beat();
+      hub.beat(id);
+    }
+
+    for (int probe = 0; probe < 3; ++probe) {
+      if (probe > 0) {
+        clock->advance(static_cast<util::TimeNs>(
+            rng.uniform(0.0, 12.0) * static_cast<double>(base)));
+      }
+      const Evidence from_reader = evidence(reader);
+      const Evidence from_hub = evidence(*hub.snapshot()->find(id));
+      for (std::uint64_t min_beats = 0; min_beats <= 4; ++min_beats) {
+        for (const bool absolute : {false, true}) {
+          const FleetDetectorOptions rules{
+              .min_beats = min_beats,
+              .absolute_staleness_ns =
+                  absolute ? static_cast<util::TimeNs>(rng.uniform(
+                                 0.5 * static_cast<double>(base),
+                                 20.0 * static_cast<double>(base)))
+                           : 0};
+          const Health via_reader = classify(from_reader, rules);
+          ASSERT_EQ(via_reader, classify(from_hub, rules))
+              << "history " << h << " shape " << static_cast<int>(shape)
+              << " beats " << beats << " probe " << probe << " min_beats "
+              << min_beats << " absolute " << rules.absolute_staleness_ns;
+          ++by_health[static_cast<int>(via_reader)];
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_GE(cases, 20000u);
+  for (const std::uint64_t n : by_health) EXPECT_GE(n, 100u);
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -37,6 +40,47 @@ inline std::vector<core::HeartbeatRecord> at_times(
     r.timestamp_ns = t;
     r.seq = seq++;
     out.push_back(r);
+  }
+  return out;
+}
+
+// ------------------------------------------------- hub snapshot lookups
+//
+// Name- and tag-keyed reads of a hub's FleetSnapshot, for suites that
+// interleave ingest and checks: each call takes a fresh hub.snapshot().
+
+/// One app's summary by registration name; nullopt when the name is not
+/// registered. Evicted apps still answer.
+inline std::optional<hub::AppSummary> summary_of(hub::HeartbeatHub& hub,
+                                                 const std::string& name) {
+  hub::AppId id = 0;
+  try {
+    id = hub.id_of(name);
+  } catch (const std::out_of_range&) {
+    return std::nullopt;
+  }
+  const auto snap = hub.snapshot();
+  const hub::AppSummary* found = snap->find(id);
+  if (found == nullptr) return std::nullopt;
+  return *found;
+}
+
+/// One tag's rollup in a snapshot; zeroed when nobody emitted it.
+inline hub::TagSummary tag_of(const hub::FleetSnapshot& snap,
+                              std::uint64_t tag) {
+  for (const hub::TagSummary& t : snap.tags()) {
+    if (t.tag == tag) return t;
+  }
+  hub::TagSummary none;
+  none.tag = tag;
+  return none;
+}
+
+/// Every shard's ingestion counters, shard order.
+inline std::vector<hub::ShardStats> shard_stats(hub::HeartbeatHub& hub) {
+  std::vector<hub::ShardStats> out;
+  for (std::size_t i = 0; i < hub.shard_count(); ++i) {
+    out.push_back(hub.shard(i).stats());
   }
   return out;
 }

@@ -114,5 +114,21 @@ TEST_F(WatchdogFixture, AbsoluteStalenessKillsNeverStartingApp) {
   EXPECT_EQ(restarts, 1);
 }
 
+TEST_F(WatchdogFixture, JustAttachedAppIsNotRestartedOnFirstPoll) {
+  // Regression: a never-beating producer's silence used to be measured
+  // from the clock's epoch (machine uptime on the monotonic clock), so a
+  // watchdog attached an hour in restarted the app on its very first poll.
+  // Silence now counts from the moment the reader was attached.
+  clock->advance(3600 * kNsPerSec);
+  WatchdogOptions opts;
+  opts.detector.absolute_staleness_ns = 3 * kNsPerSec;
+  auto dog = make_watchdog(opts);
+  EXPECT_EQ(dog.poll(), Health::kWarmingUp);
+  EXPECT_EQ(restarts, 0);
+  clock->advance(5 * kNsPerSec);  // past the bound, counted from attach
+  EXPECT_EQ(dog.poll(), Health::kDead);
+  EXPECT_EQ(restarts, 1);
+}
+
 }  // namespace
 }  // namespace hb::fault
